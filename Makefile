@@ -6,7 +6,7 @@ PYTHON ?= python3
 JOBS ?= 1
 
 .PHONY: install test lint typecheck cov bench bench-kernel \
-	bench-extraction bench-planner bench-gateway bench-dp \
+	bench-extraction bench-planner bench-gateway bench-dp bench-lop \
 	check-dp check-floors figures report examples all clean
 
 install:
@@ -68,6 +68,11 @@ bench-gateway:
 # results/BENCH_dp_overhead.json with its floors embedded.
 bench-dp:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_dp.py -q -s
+
+# LoP accounting wall time, one-pass table vs the scalar scan; writes
+# results/BENCH_lop.json and fails below 10x at k=64 or 0.75x at k=1.
+bench-lop:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_bench_lop.py -q -s
 
 # The (epsilon, delta) accountant against its golden ledger, flat ==
 # sharded; `make check-dp UPDATE=--update` regenerates the golden.

@@ -113,6 +113,7 @@ RULES = {
     "BENCH_observability_overhead.json": _band_floor_checks,
     "BENCH_gateway_soak.json": _gateway_checks,
     "BENCH_dp_overhead.json": _embedded_floors_checks,
+    "BENCH_lop.json": _embedded_floors_checks,
     "BENCH_planner.json": lambda doc: [
         Check("throughput_win", ">=", 2.0, doc.get("throughput_win"))
     ],

@@ -26,7 +26,7 @@ from .experiments.figures.registry import (
     run_experiment,
 )
 from .experiments.report import render_figure, write_csv
-from .privacy.lop import average_lop, worst_case_lop
+from .privacy.lop import lop_table
 
 import random
 
@@ -352,8 +352,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     print(f"top-{args.k:<2} result     : {result.answer()}")
     print(f"ground truth      : {result.true_topk()}")
     print(f"precision         : {result.precision():.3f}")
-    print(f"average LoP       : {average_lop(result):.4f}")
-    print(f"worst-case LoP    : {worst_case_lop(result):.4f}")
+    table = lop_table(result)
+    print(f"average LoP       : {table.average():.4f}")
+    print(f"worst-case LoP    : {table.worst_case():.4f}")
     if args.privacy_report:
         from .privacy.report import privacy_report
 
@@ -475,15 +476,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
                 continue
             if outcome.cached:
                 continue  # nothing ran; nothing to audit
-            measured = (
-                average_lop(outcome.trace) if outcome.trace is not None else None
-            )
             ledger.record(
                 plan,
                 rounds=outcome.rounds,
                 messages=outcome.messages,
                 simulated_seconds=outcome.simulated_seconds,
-                measured_lop=measured,
+                measured_lop=outcome.average_lop,
             )
         snapshot = ledger.snapshot()
         print(f"executed {ledger.recorded} planned statement(s); "

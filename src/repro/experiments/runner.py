@@ -41,7 +41,7 @@ from ..database.query import TopKQuery
 from ..observability.metrics import MetricsRegistry
 from ..observability.runtime import current_tracer
 from ..privacy.adversary import coalition_lop
-from ..privacy.lop import node_lop, node_round_lop
+from ..privacy.lop import lop_table
 from . import telemetry
 from .config import TrialSetup
 from .telemetry import PointTelemetry, TrialTiming
@@ -492,27 +492,32 @@ def mean_lop_by_round(
     """
     if not results:
         raise ValueError("no results to aggregate")
+    tables = [lop_table(res) for res in results]
     points = []
     for r in range(1, rounds + 1):
         total = 0.0
-        for res in results:
-            nodes = res.ring_order
-            total += sum(node_round_lop(res, node, r) for node in nodes) / len(nodes)
+        for table in tables:
+            total += table.round_average(r)
         points.append((float(r), total / len(results)))
     return points
 
 
 def _per_node_means(
     results: Sequence[ProtocolResult],
-    metric: Callable[[ProtocolResult, str], float],
+    metric: Callable[[ProtocolResult], dict[str, float]],
 ) -> dict[str, float]:
+    """Node -> cross-trial mean of ``metric``'s per-node values."""
     sums: dict[str, float] = defaultdict(float)
     counts: dict[str, int] = defaultdict(int)
     for res in results:
-        for node in res.ring_order:
-            sums[node] += metric(res, node)
+        for node, value in metric(res).items():
+            sums[node] += value
             counts[node] += 1
     return {node: sums[node] / counts[node] for node in sums}
+
+
+def _node_coalition_lops(result: ProtocolResult) -> dict[str, float]:
+    return {node: coalition_lop(result, node) for node in result.ring_order}
 
 
 def aggregate_node_lop(
@@ -527,7 +532,7 @@ def aggregate_node_lop(
     """
     if not results:
         raise ValueError("no results to aggregate")
-    means = _per_node_means(results, node_lop)
+    means = _per_node_means(results, lambda res: lop_table(res).node_lops())
     values = list(means.values())
     return sum(values) / len(values), max(values)
 
@@ -538,7 +543,7 @@ def aggregate_coalition_lop(
     """(average, worst-case) coalition LoP, per-node-first like the above."""
     if not results:
         raise ValueError("no results to aggregate")
-    means = _per_node_means(results, coalition_lop)
+    means = _per_node_means(results, _node_coalition_lops)
     values = list(means.values())
     return sum(values) / len(values), max(values)
 

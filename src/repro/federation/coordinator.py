@@ -46,7 +46,6 @@ from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
 from ..privacy.accounting import BudgetExceededError, ExposureLedger
 from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpPolicy, build_request
-from ..privacy.lop import average_lop
 from .audit import AuditEntry, AuditLog
 from .cache import CachedAnswer, CacheKey, ResultCache, canonical_statement
 from .policy import AccessPolicy, PolicyViolation
@@ -75,6 +74,8 @@ class QueryOutcome:
     #: Simulated network time this query's protocol occupied (0.0 for cache
     #: hits and additive aggregates).
     simulated_seconds: float = 0.0
+    #: The run's measured average-case LoP, set wherever ``trace`` is.
+    average_lop: float | None = None
 
     @property
     def scalar(self) -> float:
@@ -488,9 +489,10 @@ class Federation:
                 inner_indices.append(len(texts))
                 texts.append(inner_text)
                 new_traces.append(trace if j == 0 else None)
-                # A pre-resolved plan transfers only when the inner form is
-                # the statement it was planned for (not a decomposition).
-                new_plans.append(plan if j == 0 and len(request.inner) == 1 else None)
+                # A pre-resolved plan transfers only when the inner form
+                # still carries the SLO it was planned for (not a bare
+                # statement, not a decomposition).
+                new_plans.append(plan if request.keeps_slo else None)
             slots.append(("dp", request, inner_indices, statement.text))
         return _DpBatchPrep(
             statements=statements,
@@ -969,8 +971,11 @@ class Federation:
         self, statement: FederatedStatement, issuer: str, result: ProtocolResult
     ) -> QueryOutcome:
         # Charge the session ledger first: a budget refusal must leave no
-        # trace in the audit log and return nothing to the issuer.
-        self.ledger.charge(result)
+        # trace in the audit log and return nothing to the issuer.  The
+        # charges are each party's peak LoP in ring order, so their mean is
+        # the run's average LoP.
+        charges = self.ledger.charge(result)
+        lop = sum(charges.values()) / len(charges)
         outcome = QueryOutcome(
             statement=statement.text,
             values=tuple(result.answer()),
@@ -979,6 +984,7 @@ class Federation:
             messages=result.stats.messages_total,
             trace=result,
             simulated_seconds=result.simulated_seconds,
+            average_lop=lop,
         )
         self.audit.record(
             AuditEntry.for_query(
@@ -989,7 +995,7 @@ class Federation:
                 rounds=outcome.rounds,
                 messages=outcome.messages,
                 result_public=outcome.values,
-                average_lop=average_lop(result),
+                average_lop=lop,
             )
         )
         return outcome

@@ -23,8 +23,10 @@ from .groups import (
     is_m_anonymous,
 )
 from .lop import (
+    LopTable,
     average_lop,
     item_round_lop,
+    lop_table,
     node_lop,
     node_round_lop,
     per_round_average_lop,
@@ -64,6 +66,7 @@ __all__ = [
     "ExposureLedger",
     "GeometricMechanism",
     "LaplaceMechanism",
+    "LopTable",
     "PrivacyAccountant",
     "SpendMeter",
     "calibrate_mechanism",
@@ -94,6 +97,7 @@ __all__ = [
     "is_m_anonymous",
     "is_exact",
     "item_round_lop",
+    "lop_table",
     "naive_range_exposure",
     "node_lop",
     "node_range_lop",

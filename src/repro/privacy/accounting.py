@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.results import ProtocolResult
-from .lop import node_lop
+from .lop import lop_table
 
 
 class BudgetExceededError(RuntimeError):
@@ -47,13 +47,14 @@ class ExposureLedger:
     def charge(self, result: ProtocolResult) -> dict[str, float]:
         """Charge one finished run; returns the per-party charges applied.
 
+        The charges are each party's peak LoP, in ring order, so their mean
+        is the run's :func:`~repro.privacy.lop.average_lop`.
+
         Raises :class:`BudgetExceededError` — *before* recording anything —
         if the charge would push any party past the budget, so a refused
         query leaves the ledger unchanged.
         """
-        increments = {
-            node: node_lop(result, node) for node in result.ring_order
-        }
+        increments = lop_table(result).node_lops()
         if self.budget is not None:
             over = [
                 node

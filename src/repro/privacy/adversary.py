@@ -26,7 +26,7 @@ from __future__ import annotations
 from ..core.results import ProtocolResult
 from ..network.ring import RingTopology
 from .claims import RangeClaim
-from .lop import value_in
+from .lop import member, sorted_members
 
 
 class AdversaryError(ValueError):
@@ -75,11 +75,12 @@ def coalition_round_lop(
     if not items:
         return 0.0
     n = result.n_nodes
-    final = result.final_vector
+    observed = sorted_members(outgoing)
+    final = sorted_members(result.final_vector)
     total = 0.0
     for item in items:
-        claim_true = value_in(item, outgoing)
-        prior = 1.0 / n if value_in(item, final) else 0.0
+        claim_true = member(item, observed)
+        prior = 1.0 / n if member(item, final) else 0.0
         total += max(0.0, (1.0 if claim_true else 0.0) - prior)
     return total / len(items)
 

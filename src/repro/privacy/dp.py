@@ -375,6 +375,11 @@ class DpRequest:
     inner: tuple[DpInner, ...]
     key: tuple
     label: str
+    #: True when the one inner statement still declares non-DP objectives.
+    #: Only then does a plan resolved for the original statement apply to
+    #: it; a DP-only SLO collapses to the bare statement, which must run
+    #: (and be cached) exactly as a bare read would.
+    keeps_slo: bool
 
     @property
     def inner_texts(self) -> tuple[str, ...]:
@@ -442,6 +447,7 @@ def build_request(spec, domain: Domain | None) -> DpRequest | None:
         inner=inner,
         key=key,
         label=label,
+        keeps_slo=len(inner) == 1 and inner_text != statement.text,
     )
 
 

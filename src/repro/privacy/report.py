@@ -15,7 +15,7 @@ from ..core.results import ProtocolResult
 from .adversary import coalition_lop
 from .distribution import coalition_posterior
 from .groups import anonymity_size
-from .lop import average_lop, node_lop, worst_case_lop
+from .lop import lop_table
 from .ranges import node_range_lop
 from .spectrum import SpectrumLevel, classify
 
@@ -86,13 +86,14 @@ def privacy_report(
     """
     if with_posteriors is None:
         with_posteriors = result.query.k == 1 and result.query.domain.integral
+    table = lop_table(result)
     rows = []
     for node in result.ring_order:
         gain: float | None = None
         if with_posteriors:
             report = coalition_posterior(result, node)
             gain = report.entropy_reduction_bits
-        lop = node_lop(result, node)
+        lop = table.node_lop(node)
         range_exposure = 0.0
         if result.query.domain.integral:
             range_exposure = node_range_lop(result, node)
@@ -119,8 +120,8 @@ def privacy_report(
         protocol=result.protocol,
         n_nodes=result.n_nodes,
         rounds=result.rounds_executed,
-        average=average_lop(result),
-        worst_case=worst_case_lop(result),
+        average=table.average(),
+        worst_case=table.worst_case(),
         rows=tuple(rows),
         value_anonymity=anonymity,
     )

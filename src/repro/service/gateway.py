@@ -40,7 +40,6 @@ from ..planner.plan import ECONOMY, QUALITY, Plan
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
 from ..privacy.dp import BudgetExhausted, DpError
-from ..privacy.lop import average_lop
 from .clock import Clock, SimulatedClock
 from .errors import (
     DeadlineExceeded,
@@ -635,20 +634,18 @@ class QueryService:
         """Ledger one planned, executed statement's predicted-vs-actual.
 
         Cache hits are skipped (nothing ran, nothing to audit); measured
-        LoP comes from the protocol trace when the execution kept one.
+        LoP is the one the federation settled the execution with, when the
+        execution kept a protocol trace.
         """
         plan = request.plan
         if not isinstance(plan, Plan) or outcome.cached:
             return
-        measured_lop = (
-            average_lop(outcome.trace) if outcome.trace is not None else None
-        )
         self.accuracy.record(
             plan,
             rounds=outcome.rounds,
             messages=outcome.messages,
             simulated_seconds=outcome.simulated_seconds,
-            measured_lop=measured_lop,
+            measured_lop=outcome.average_lop,
         )
         if request.batch_span is not None:
             est = plan.estimate

@@ -466,11 +466,11 @@ class ShardedFederation:
             for position, (request, inner_positions, _target, _bare) in dp_slots.items():
                 # The original statement's trace follows its first inner
                 # form; a pre-resolved plan transfers only when the inner
-                # form is the statement it was planned for.
+                # form still carries the SLO it was planned for.
                 if traces is not None:
                     traces_ext[position] = None  # type: ignore[index]
                     traces_ext[inner_positions[0]] = traces[position]  # type: ignore[index]
-                if plans is not None and len(inner_positions) == 1:
+                if plans is not None and request.keeps_slo:
                     plans_ext[inner_positions[0]] = plans[position]  # type: ignore[index]
 
         self._dispatch_routed(routed, results, texts_ext, issuer, traces_ext, plans_ext)

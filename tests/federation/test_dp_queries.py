@@ -1,5 +1,7 @@
 """DP query mode through the flat Federation: releases, reuse, refusals."""
 
+import asyncio
+
 import pytest
 
 from repro.database.database import database_from_values
@@ -7,7 +9,10 @@ from repro.database.query import PAPER_DOMAIN, Domain
 from repro.federation import Federation
 from repro.federation.coordinator import QueryRefused
 from repro.planner.errors import PlanInfeasible
-from repro.privacy.dp import BudgetExhausted, DpError, DpPolicy
+from repro.planner.spec import parse_spec
+from repro.privacy.dp import BudgetExhausted, DpError, DpPolicy, build_request
+from repro.service import QueryService
+from repro.sharding.topology import exact_config
 
 DATASETS = {
     "acme": [100, 900, 250],
@@ -240,3 +245,74 @@ class TestBatchParity:
             sequential_fed.execute(s, use_cache=True) for s in statements
         ]
         assert [o.values for o in batched] == [o.values for o in sequential]
+
+
+class TestDpOnlyPlanHandOff:
+    """A DP-only SLO collapses to the bare statement, which must run as one.
+
+    The gateway plans every SLO'd statement, ``dp_epsilon`` alone included,
+    and may pick randomized parameters for it.  The inner bare statement's
+    answer is cached under the plain key, so running it under that plan
+    would let an approximate answer stand in for later exact plain reads.
+    """
+
+    # Under the randomized plan (p0=1, d=0.75, 8 rounds) this federation
+    # returns a wrong top-3 for the inner statement at seed 0.
+    DATA = {
+        "p0": [884, 8457, 8966, 7056],
+        "p1": [9519, 7449, 8032, 4174],
+        "p2": [7794, 3530, 5525, 4357],
+        "p3": [692, 718, 862, 2669],
+    }
+    BARE = "SELECT TOP 3 value FROM data"
+
+    def _federation(self, **kwargs) -> Federation:
+        fed = Federation(
+            domain=PAPER_DOMAIN, seed=0, config=exact_config(), **kwargs
+        )
+        for owner, values in self.DATA.items():
+            fed.register(database_from_values(owner, values))
+        return fed
+
+    def _serve(self, fed: Federation, texts: list[str]):
+        async def scenario():
+            async with QueryService(fed) as service:
+                return [await service.submit(text) for text in texts]
+
+        return asyncio.run(scenario())
+
+    def test_inner_execution_uses_the_federations_own_parameters(self):
+        fed = self._federation(dp=DpPolicy(seed=1))
+        released, plain = self._serve(
+            fed, [f"{self.BARE} WITH SLO(dp_epsilon=0.5)", self.BARE]
+        )
+        bare = self._federation().execute(self.BARE)
+        inner = fed.audit.entries[0]
+        assert released.rounds == bare.rounds == exact_config().params.rounds
+        assert (inner.rounds, inner.messages, inner.result_public) == (
+            bare.rounds,
+            bare.messages,
+            bare.values,
+        )
+        assert inner.average_lop == bare.average_lop
+        # The next plain read is the cached exact answer.
+        assert plain.cached
+        assert plain.values == (9519.0, 8966.0, 8457.0)
+
+    def test_plan_transfers_only_while_an_slo_remains(self):
+        dp_only = build_request(
+            parse_spec(f"{self.BARE} WITH SLO(dp_epsilon=0.5)"), PAPER_DOMAIN
+        )
+        kept = build_request(
+            parse_spec(f"{self.BARE} WITH SLO(dp_epsilon=0.5, deadline=5.0)"),
+            PAPER_DOMAIN,
+        )
+        avg = build_request(
+            parse_spec(
+                "SELECT AVG(value) FROM data WITH SLO(dp_epsilon=0.5, deadline=5.0)"
+            ),
+            PAPER_DOMAIN,
+        )
+        assert dp_only.inner_texts == (self.BARE,) and not dp_only.keeps_slo
+        assert kept.keeps_slo
+        assert not avg.keeps_slo  # a decomposition was never planned

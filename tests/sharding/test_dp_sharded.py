@@ -1,11 +1,14 @@
 """DP across shards: flat/sharded parity, shard attribution, tenant budgets."""
 
+import asyncio
+
 import pytest
 
 from repro.federation.coordinator import QueryOutcome, QueryRefused
 from repro.privacy.dp import BudgetExhausted, DpPolicy
+from repro.service import QueryService
 from repro.sharding import TenantPolicy, build_topology, sharded_federation
-from repro.sharding.topology import single_federation
+from repro.sharding.topology import exact_config, single_federation
 
 
 def topology_twins(dp: DpPolicy, shards: int = 3, seed: int = 7):
@@ -225,3 +228,27 @@ class TestUnifiedAccounting:
         spent = shard.router.tenant_snapshot()["acme"]["lop_spent"]
         shard.execute_many_settled([text], issuer="acme")
         assert shard.router.tenant_snapshot()["acme"]["lop_spent"] == spent
+
+
+class TestDpOnlyPlanHandOff:
+    def test_inner_statement_runs_and_caches_as_a_bare_read(self):
+        # The gateway plans the DP-only statement to randomized parameters;
+        # at this seed that plan answers the inner TOP 20 wrongly.  The
+        # inner statement must run on the shard's own exact config instead,
+        # so the plain read it caches is the exact answer.
+        topology = build_topology(shards=3, seed=16)
+        shard = sharded_federation(topology, dp=DpPolicy(seed=11))
+        bare = "SELECT TOP 20 value FROM t02"
+        assert "t02" not in topology.partitioned
+
+        async def scenario():
+            async with QueryService(shard) as service:
+                released = await service.submit(f"{bare} WITH SLO(dp_epsilon=0.5)")
+                plain = await service.submit(bare)
+                return released, plain
+
+        released, plain = asyncio.run(scenario())
+        exact = single_federation(topology).execute(bare)
+        assert released.rounds == exact_config().params.rounds
+        assert plain.cached
+        assert plain.values == exact.values
