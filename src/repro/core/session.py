@@ -294,6 +294,7 @@ class ProtocolSession:
                 raise DriverError("initial_vector contains out-of-domain values")
         else:
             start_vector = [float(v) for v in self.query.identity_vector()]
+        self._start_vector = start_vector
         if self.trace is not None:
             tracer = self.trace.tracer
             now = self.transport.now
@@ -360,19 +361,20 @@ class ProtocolSession:
         A crash-stopped node swallows the token and the protocol stalls.  The
         paper's remedy: "the ring can be reconstructed from scratch or simply
         by connecting the predecessor and successor of the failed node."  We
-        take the splice approach: drop every crashed node from the ring,
-        rewire the survivors, and have the starting node re-emit its output
-        for the round that stalled (survivors that already processed it
-        simply treat the replayed token per their local algorithm —
-        correctness is unaffected because outputs never exceed the true
-        top-k and insertion is idempotent).  A crashed *starting* node is
-        unrecoverable by splicing (the paper's from-scratch rebuild covers
-        it) and reported loudly.
+        splice the ring — drop every crashed node, rewire the survivors — and
+        then restart the token phase from round 1 on the spliced ring, every
+        survivor forgetting its insertions.  Replaying only the stalled round
+        is not enough: noise the crashed node injected in completed rounds
+        displaced survivors' values and will never be displaced in turn, and
+        a survivor recognizes its own circulating copy only by value — so
+        with equal values held by several survivors, the one whose copy was
+        displaced mistakes another's copy for its own and never re-inserts.
+        A crashed *starting* node is unrecoverable by splicing (the ring
+        must be rebuilt with a fresh initialization) and reported loudly.
 
-        Lossy links (a drop probability with no crash) use the same machinery
-        minus the splice: the starter retransmits the stalled round's token,
-        with a bounded retry budget so a pathological loss rate still fails
-        loudly.
+        Lossy links (a drop probability with no crash) need no restart: the
+        starter retransmits the stalled round's token, with a bounded retry
+        budget so a pathological loss rate still fails loudly.
         """
         if self.abandoned:
             return  # nothing to repair; the query was withdrawn
@@ -406,16 +408,22 @@ class ProtocolSession:
             self._apply_ring(self.ring)
             # Values inserted into the lost token segment are gone; survivors
             # must be allowed to contribute again, and must *forget* the
-            # insertions the replay erases (those of the stalled round) or
-            # they would mis-attribute equal surviving values as their own.
-            # The starter's stalled-round insertion is the exception: it is
-            # embodied in the replayed vector itself.
-            stalled_round = nodes[starter].rounds_completed + 1
+            # insertions the replay erases or they would mis-attribute equal
+            # surviving values as their own.  A restart erases all of them;
+            # a retransmission erases the stalled round's, except the
+            # starter's, which is embodied in the replayed vector itself.
+            restart = bool(crashed)
+            stalled_round = 1 if restart else nodes[starter].rounds_completed + 1
             for node_id, node in nodes.items():
                 if not failures.is_crashed(node_id):
                     rearm = getattr(node.algorithm, "rearm", None)
                     if rearm is not None:
-                        rearm(None if node_id == starter else stalled_round)
+                        keep = node_id == starter and not restart
+                        rearm(None if keep else stalled_round)
+            if restart:
+                nodes[starter].start(self._start_vector)
+                transport.run_until_idle()
+                continue
             # Replay exactly what the starter last emitted for the stalled
             # round; the node-side copy survives even when the transport
             # dropped the send before any log saw it.

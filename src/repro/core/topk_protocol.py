@@ -77,25 +77,25 @@ class ProbabilisticTopKAlgorithm:
         self.randomized_rounds: list[int] = []
         self.revealed_round: int | None = None
 
-    def rearm(self, discard_round: int | None = None) -> None:
+    def rearm(self, discard_from: int | None = None) -> None:
         """Allow the node to contribute again after a token loss.
 
-        Crash recovery replays the starting node's emission for the stalled
-        round, which erases every insertion other nodes performed *in that
-        round* — so the driver passes ``discard_round`` and this node forgets
-        those insertions (they are provably not in the replayed vector, so
-        keeping them would make the node mis-attribute another party's equal
-        value as its own surviving copy and never re-insert).  Insertions
-        from completed rounds persist in the replayed vector and stay
-        tracked, which prevents double-counting them.
+        Recovery re-sends a token that no longer carries this node's
+        insertions from round ``discard_from`` on — a retransmission of the
+        stalled round erases that round's, a crash restart from round 1
+        erases all — so the driver passes ``discard_from`` and this node
+        forgets those insertions (they are provably not in the re-sent
+        vector, so keeping them would make the node mis-attribute another
+        party's equal value as its own surviving copy and never re-insert).
+        Insertions from earlier rounds persist in the re-sent vector and
+        stay tracked, which prevents double-counting them.
         """
         self.has_inserted = False
-        if discard_round is None:
+        if discard_from is None:
             return
-        lost = self._inserted_by_round.pop(discard_round, None)
-        if lost:
-            self._inserted.subtract(lost)
-            self._inserted = +self._inserted  # drop zero/negative entries
+        for round_number in [r for r in self._inserted_by_round if r >= discard_from]:
+            self._inserted.subtract(self._inserted_by_round.pop(round_number))
+        self._inserted = +self._inserted  # drop zero/negative entries
 
     def _mergeable_values(self, g_prev: list[float]) -> list[float]:
         """Own values eligible for the merge.

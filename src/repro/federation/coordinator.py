@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from ..core.driver import AUTO, SESSION, RunConfig, run_topk_queries, run_topk_query
 from ..core.results import ProtocolResult
@@ -45,62 +45,13 @@ from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
 from ..planner.spec import QuerySpec, parse_spec
 from ..privacy.accounting import BudgetExceededError, ExposureLedger
-from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpPolicy, build_request
+from ..privacy.dp import BudgetExhausted, DpGate, DpPolicy
+from . import dp_release
 from .audit import AuditEntry, AuditLog
 from .cache import CachedAnswer, CacheKey, ResultCache, canonical_statement
+from .outcome import FederationError, QueryOutcome, QueryRefused
 from .policy import AccessPolicy, PolicyViolation
 from .sql import FederatedStatement, SqlError, parse, validate_identifier
-
-
-class FederationError(RuntimeError):
-    """Raised for invalid federation state or unanswerable queries."""
-
-
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Public outcome of one federated query."""
-
-    statement: str
-    values: tuple[float, ...]
-    protocol: str
-    rounds: int
-    messages: int
-    #: Full protocol trace for ranking queries (None for additive ones and
-    #: for cache hits — a hit re-serves the public answer, not the trace).
-    trace: ProtocolResult | None = None
-    #: True when the answer was served from the result cache: no protocol
-    #: ran and no new exposure was charged.
-    cached: bool = False
-    #: Simulated network time this query's protocol occupied (0.0 for cache
-    #: hits and additive aggregates).
-    simulated_seconds: float = 0.0
-    #: The run's measured average-case LoP, set wherever ``trace`` is.
-    average_lop: float | None = None
-
-    @property
-    def scalar(self) -> float:
-        """The value of a single-valued query (MAX/MIN/SUM/COUNT/AVG)."""
-        if len(self.values) != 1:
-            raise FederationError(
-                f"query returned {len(self.values)} values; use .values"
-            )
-        return self.values[0]
-
-
-@dataclass(frozen=True)
-class QueryRefused:
-    """One statement's refusal on the settled batch path.
-
-    :meth:`Federation.execute_many_settled` returns this in place of a
-    :class:`QueryOutcome` when a statement is individually unservable — a
-    parse error, a policy violation, or a privacy-budget refusal — so a
-    multi-tenant batch (the query service's continuous batches) degrades
-    per-statement instead of aborting whole batches.  ``error`` carries the
-    original typed exception.
-    """
-
-    statement: str
-    error: Exception
 
 
 class Federation:
@@ -307,16 +258,46 @@ class Federation:
         is re-served, spending zero budget.
         """
         spec = parse_spec(statement_text)
-        if spec.slo.has_dp:
-            return self._try_cached_dp(spec, issuer)
         statement = spec.statement
+        if spec.slo.has_dp:
+            outcome = dp_release.try_cached(
+                self.dp_gate,
+                spec,
+                self.domain_for(statement.table, statement.attribute),
+                peek=self.peek,
+                claim=lambda texts: self._claim_hits(issuer, statement, len(texts)),
+            )
+            return None if outcome is None else self._record(outcome, issuer)
         answer = self.cache.peek(self._cache_key(statement))
         if answer is None:
             return None
+        self._claim_hits(issuer, statement, 1)
+        return self._serve_cached(statement, issuer, answer)
+
+    def peek(self, statement_text: str) -> QueryOutcome | None:
+        """The cached answer :meth:`try_cached` would serve, with no side effects.
+
+        No cache hit is counted, no audit entry recorded and no policy
+        checked — callers that must decline a whole multi-part answer (a
+        sharded fan-out, a DP release's inner statements) look every part
+        up first and serve only when all of them hit.  A DP statement
+        always peeks as ``None``: its answer is a release, not a cached
+        exact answer.
+        """
+        spec = parse_spec(statement_text)
+        if spec.slo.has_dp:
+            return None
+        answer = self.cache.peek(self._cache_key(spec.statement))
+        return None if answer is None else _cached_outcome(spec.statement, answer)
+
+    def _claim_hits(
+        self, issuer: str, statement: FederatedStatement, hits: int
+    ) -> bool:
+        """Policy-check a cache re-serve, then count its ``hits``."""
         if self.policy is not None:
             self.policy.check(issuer, statement)
-        self.cache.hits += 1
-        return self._serve_cached(statement, issuer, answer)
+        self.cache.hits += hits
+        return True
 
     def execute_many(
         self,
@@ -398,239 +379,37 @@ class Federation:
         traces: "Sequence[TraceContext | None] | None" = None,
         plans: "Sequence[Plan | None] | None" = None,
     ) -> "list[QueryOutcome | QueryRefused]":
-        """Serve a batch, expanding DP statements around the exact core.
+        """Serve a batch through the shared DP release path.
 
-        Statements carrying ``dp_epsilon`` are rewritten to their *inner*
-        (exact) statements — in place, preserving statement order so seed
-        draws match a sequential session issuing the inner forms — and the
-        noisy releases are assembled from the inner answers afterwards.
-        Batches without DP statements take the exact path untouched.
+        :class:`~repro.federation.dp_release.DpBatch` rewrites statements
+        carrying ``dp_epsilon`` to their inner (exact) statements in place,
+        the exact core serves them, and the noisy releases are assembled
+        from the inner answers afterwards.  Policy gates the *original*
+        statement there; the inner forms are re-checked by the exact path
+        (an AVG decomposition thus needs SUM and COUNT permission too).
         """
-        prep = self._prepare_dp(statements, issuer, settle, traces, plans)
-        if prep is None:
-            return self._serve_batch(statements, issuer, settle, traces, plans)
-        inner_results = self._serve_batch(
-            prep.texts, issuer, settle, prep.traces, prep.plans
-        )
-        return self._assemble_dp(prep, inner_results, settle)
+        policy = self.policy
 
-    def _prepare_dp(
-        self,
-        statements: list[str],
-        issuer: str,
-        settle: bool,
-        traces: "Sequence[TraceContext | None] | None",
-        plans: "Sequence[Plan | None] | None",
-    ) -> "_DpBatchPrep | None":
-        """Expand DP statements into inner texts; ``None`` when none carry DP.
-
-        DP-specific refusals — a missing domain, a degenerate (zero-noise)
-        mechanism, an exhausted (epsilon, delta) budget — are decided
-        *here*, before any seed draw or inner dispatch, so refused DP
-        statements perturb nothing downstream (the same refusal-parity rule
-        the planner follows).  The budget precheck is optimistic on reuse:
-        a key that has already released is admitted without headroom, and
-        ``finalize`` still enforces the budget if the inner cache turns out
-        to have been invalidated — or re-populated over mutated data, which
-        must settle as a fresh charged release, never a noise replay.
-        """
-        specs: list[QuerySpec | None] = []
-        has_dp = False
-        for text in statements:
+        def check(_index: int, spec: QuerySpec) -> Exception | None:
             try:
-                spec = parse_spec(text)
-            except SqlError:
-                spec = None  # the exact path reports the parse error
-            specs.append(spec)
-            if spec is not None and spec.slo.has_dp:
-                has_dp = True
-        if not has_dp:
+                policy.check(issuer, spec.statement)  # type: ignore[union-attr]
+            except PolicyViolation as exc:
+                return exc
             return None
-        pending = self.dp_gate.new_pending()
-        texts: list[str] = []
-        new_traces: list[TraceContext | None] = []
-        new_plans: list[Plan | None] = []
-        slots: list[tuple] = []
-        for index, text in enumerate(statements):
-            spec = specs[index]
-            trace = traces[index] if traces is not None else None
-            plan = plans[index] if plans is not None else None
-            if spec is None or not spec.slo.has_dp:
-                slots.append(("pass", len(texts)))
-                texts.append(text)
-                new_traces.append(trace)
-                new_plans.append(plan)
-                continue
-            statement = spec.statement
-            try:
-                # Policy gates the *original* statement; the inner forms are
-                # re-checked by the exact path (an AVG decomposition thus
-                # needs SUM and COUNT permission too).
-                if self.policy is not None:
-                    self.policy.check(issuer, statement)
-                request = build_request(
-                    spec, self.domain_for(statement.table, statement.attribute)
-                )
-            except (PolicyViolation, DpError) as exc:
-                if not settle:
-                    raise
-                slots.append(("refused", exc))
-                continue
-            assert request is not None  # spec.slo.has_dp
-            reason = self.dp_gate.admit(request, pending)
-            if reason is not None:
-                refusal = BudgetExhausted(reason, statement=text)
-                if not settle:
-                    raise refusal
-                slots.append(("refused", refusal))
-                continue
-            inner_indices: list[int] = []
-            for j, inner_text in enumerate(request.inner_texts):
-                inner_indices.append(len(texts))
-                texts.append(inner_text)
-                new_traces.append(trace if j == 0 else None)
-                # A pre-resolved plan transfers only when the inner form
-                # still carries the SLO it was planned for (not a bare
-                # statement, not a decomposition).
-                new_plans.append(plan if request.keeps_slo else None)
-            slots.append(("dp", request, inner_indices, statement.text))
-        return _DpBatchPrep(
-            statements=statements,
-            texts=texts,
-            traces=new_traces if traces is not None else None,
-            plans=new_plans if plans is not None else None,
-            slots=slots,
-        )
 
-    def _assemble_dp(
-        self,
-        prep: "_DpBatchPrep",
-        inner_results: "list[QueryOutcome | QueryRefused]",
-        settle: bool,
-    ) -> "list[QueryOutcome | QueryRefused]":
-        """Assemble noisy releases from inner answers, in statement order.
-
-        Accountant charges land here, one per *fresh* release; a DP
-        statement whose inner answers are all cached re-serves its latest
-        release byte-identically and charges nothing.
-        """
-        outcomes: list[QueryOutcome | QueryRefused] = []
-        for index, slot in enumerate(prep.slots):
-            kind = slot[0]
-            if kind == "refused":
-                outcomes.append(
-                    QueryRefused(statement=prep.statements[index], error=slot[1])
-                )
-                continue
-            if kind == "pass":
-                outcomes.append(inner_results[slot[1]])
-                continue
-            _, request, inner_indices, bare_text = slot
-            inner = [inner_results[i] for i in inner_indices]
-            refused = next(
-                (r for r in inner if isinstance(r, QueryRefused)), None
-            )
-            if refused is not None:
-                outcomes.append(
-                    QueryRefused(
-                        statement=prep.statements[index], error=refused.error
-                    )
-                )
-                continue
-            inner_cached = all(o.cached for o in inner)  # type: ignore[union-attr]
-            try:
-                values, charged = self.dp_gate.finalize(
-                    request,
-                    [o.values for o in inner],  # type: ignore[union-attr]
-                    inner_cached=inner_cached,
-                )
-            except BudgetExhausted as exc:
-                if not settle:
-                    raise
-                outcomes.append(
-                    QueryRefused(statement=prep.statements[index], error=exc)
-                )
-                continue
-            first = inner[0]
-            outcomes.append(
-                QueryOutcome(
-                    statement=bare_text,
-                    values=values,
-                    protocol=f"{first.protocol}+dp",  # type: ignore[union-attr]
-                    rounds=max(o.rounds for o in inner),  # type: ignore[union-attr]
-                    messages=sum(o.messages for o in inner),  # type: ignore[union-attr]
-                    trace=None,
-                    cached=not charged,
-                    simulated_seconds=max(
-                        o.simulated_seconds for o in inner  # type: ignore[union-attr]
-                    ),
-                )
-            )
-        return outcomes
-
-    def _try_cached_dp(
-        self, spec: QuerySpec, issuer: str
-    ) -> QueryOutcome | None:
-        """Admission fast path for DP statements: free re-serve or ``None``.
-
-        Serves only when a release already exists for the key, every inner
-        answer is still cache-valid, *and* those answers are the ones the
-        release perturbed (a cache re-populated over mutated data must not
-        replay old noise — that would disclose the exact data delta); the
-        re-served values are byte-identical to that release and spend zero
-        budget.  Anything else returns ``None`` so the batch path settles
-        the statement as a fresh, charged release.
-        """
-        statement = spec.statement
-        try:
-            request = build_request(
-                spec, self.domain_for(statement.table, statement.attribute)
-            )
-        except DpError:
-            return None  # the batch path will raise the typed refusal
-        assert request is not None
-        if not self.dp_gate.reusable(request):
-            return None
-        answers = []
-        for inner_text in request.inner_texts:
-            inner_statement = parse_spec(inner_text).statement
-            answer = self.cache.peek(self._cache_key(inner_statement))
-            if answer is None:
-                return None
-            answers.append(answer)
-        inner_values = [a.values for a in answers]
-        if not self.dp_gate.replayable(request, inner_values):
-            return None  # the data changed under the release; must re-charge
-        if self.policy is not None:
-            self.policy.check(issuer, statement)
-        values, _charged = self.dp_gate.finalize(
-            request, inner_values, inner_cached=True
+        batch = dp_release.DpBatch(
+            self.dp_gate,
+            statements,
+            issuer=issuer,
+            settle=settle,
+            domain_for=self.domain_for,
+            traces=traces,
+            plans=plans,
+            check=check if policy is not None else None,
         )
-        self.cache.hits += len(answers)
-        protocol = f"{answers[0].protocol}+dp"
-        outcome = QueryOutcome(
-            statement=statement.text,
-            values=values,
-            protocol=protocol,
-            rounds=0,
-            messages=0,
-            trace=None,
-            cached=True,
+        return batch.assemble(
+            self._serve_batch(batch.texts, issuer, settle, batch.traces, batch.plans)
         )
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=statement.text,
-                protocol=protocol,
-                participants=self.members,
-                rounds=0,
-                messages=0,
-                result_public=values,
-                average_lop=None,
-                cached=True,
-            )
-        )
-        return outcome
 
     def dp_admission_check(
         self, spec: QuerySpec, *, issuer: str = "anonymous"
@@ -640,26 +419,17 @@ class Federation:
         Raises :class:`~repro.privacy.dp.DpError` for unresolvable requests
         (missing domain, zero-noise calibration) and
         :class:`~repro.privacy.dp.BudgetExhausted` when no release exists
-        and the composed budget has no headroom.  Duck-typed by
-        :class:`~repro.service.gateway.QueryService` at admission so DP
-        refusals happen before a queue slot is consumed.
+        and the composed budget has no headroom, so
+        :class:`~repro.service.gateway.QueryService` refuses DP statements
+        at admission, before a queue slot is consumed.
         """
-        del issuer  # the flat federation has a single shared accountant
-        if not spec.slo.has_dp:
-            return
         statement = spec.statement
-        request = build_request(
-            spec, self.domain_for(statement.table, statement.attribute)
+        dp_release.admission_check(
+            self.dp_gate,
+            spec,
+            self.domain_for(statement.table, statement.attribute),
+            issuer=issuer,
         )
-        assert request is not None
-        if self.dp_gate.reusable(request):
-            return
-        reason = self.dp_gate.accountant.headroom_reason(
-            request.epsilon, request.delta
-        )
-        if reason is not None:
-            self.dp_gate.accountant.note_refusal()
-            raise BudgetExhausted(reason, statement=spec.text)
 
     def _serve_batch(
         self,
@@ -671,39 +441,21 @@ class Federation:
     ) -> "list[QueryOutcome | QueryRefused]":
         if not statements:
             return []
-        if traces is not None and len(traces) != len(statements):
-            raise FederationError(
-                f"got {len(statements)} statements but {len(traces)} "
-                "trace contexts"
-            )
-        if plans is not None and len(plans) != len(statements):
-            raise FederationError(
-                f"got {len(statements)} statements but {len(plans)} plans"
-            )
+        # The batch arrives parsed clean (DpBatch settled parse errors);
+        # policy still gates every served form, a DP AVG's SUM and COUNT
+        # included.
+        specs = [parse_spec(text) for text in statements]
+        parsed: list[FederatedStatement | None] = [spec.statement for spec in specs]
         refusals: dict[int, Exception] = {}
-        parsed: list[FederatedStatement | None]
-        specs: list[QuerySpec | None]
-        if settle:
-            parsed = []
-            specs = []
-            for index, text in enumerate(statements):
-                spec: QuerySpec | None
+        if self.policy is not None:
+            for index, spec in enumerate(specs):
                 try:
-                    spec = parse_spec(text)
-                    if self.policy is not None:
-                        self.policy.check(issuer, spec.statement)
-                except (SqlError, PolicyViolation) as exc:
+                    self.policy.check(issuer, spec.statement)
+                except PolicyViolation as exc:
+                    if not settle:
+                        raise
                     refusals[index] = exc
-                    spec = None
-                specs.append(spec)
-                parsed.append(spec.statement if spec is not None else None)
-        else:
-            specs = [parse_spec(text) for text in statements]
-            parsed = [spec.statement for spec in specs]  # type: ignore[union-attr]
-            if self.policy is not None:
-                for checked in parsed:
-                    assert checked is not None
-                    self.policy.check(issuer, checked)
+                    parsed[index] = None
         databases = self._require_quorum()
         data_versions = self._data_versions()
         keys = [
@@ -731,7 +483,7 @@ class Federation:
                 continue
             plan = plans[index] if plans is not None else None
             spec = specs[index]
-            if plan is None and spec is not None and not spec.slo.is_trivial:
+            if plan is None and not spec.slo.is_trivial:
                 try:
                     plan = self.planner.plan(spec, parties=len(databases))
                 except PlanInfeasible as exc:
@@ -811,11 +563,17 @@ class Federation:
                     QueryRefused(statement=statements[index], error=refusals[index])
                 )
                 continue
-            if index in ranking_results:
+            if index in ranking_results or index in additive_seeds:
                 try:
-                    outcome = self._finish_ranking(
-                        statement, issuer, ranking_results[index]
-                    )
+                    if index in ranking_results:
+                        outcome = self._finish_ranking(
+                            statement, issuer, ranking_results[index]
+                        )
+                    else:
+                        sum_seed, count_seed = additive_seeds[index]
+                        outcome = self._run_additive(
+                            statement, issuer, sum_seed=sum_seed, count_seed=count_seed
+                        )
                 except BudgetExceededError as exc:
                     if not settle:
                         raise
@@ -824,16 +582,6 @@ class Federation:
                         QueryRefused(statement=statements[index], error=exc)
                     )
                     continue
-                self.cache.misses += 1
-                self.cache.store(
-                    key,
-                    CachedAnswer(values=outcome.values, protocol=outcome.protocol),
-                )
-            elif index in additive_seeds:
-                sum_seed, count_seed = additive_seeds[index]
-                outcome = self._run_additive(
-                    statement, issuer, sum_seed=sum_seed, count_seed=count_seed
-                )
                 self.cache.misses += 1
                 self.cache.store(
                     key,
@@ -975,7 +723,6 @@ class Federation:
         # charges are each party's peak LoP in ring order, so their mean is
         # the run's average LoP.
         charges = self.ledger.charge(result)
-        lop = sum(charges.values()) / len(charges)
         outcome = QueryOutcome(
             statement=statement.text,
             values=tuple(result.answer()),
@@ -984,61 +731,32 @@ class Federation:
             messages=result.stats.messages_total,
             trace=result,
             simulated_seconds=result.simulated_seconds,
-            average_lop=lop,
+            average_lop=sum(charges.values()) / len(charges),
         )
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=statement.text,
-                protocol=result.protocol,
-                participants=self.members,
-                rounds=outcome.rounds,
-                messages=outcome.messages,
-                result_public=outcome.values,
-                average_lop=lop,
-            )
-        )
-        return outcome
+        return self._record(outcome, issuer)
 
     def _serve_cached(
         self, statement: FederatedStatement, issuer: str, answer: CachedAnswer
     ) -> QueryOutcome:
         """Re-publish an already-public answer: no protocol, no new exposure."""
-        outcome = QueryOutcome(
-            statement=statement.text,
-            values=answer.values,
-            protocol=answer.protocol,
-            rounds=0,
-            messages=0,
-            trace=None,
-            cached=True,
-        )
+        return self._record(_cached_outcome(statement, answer), issuer)
+
+    def _record(self, outcome: QueryOutcome, issuer: str) -> QueryOutcome:
+        """Audit-log one served outcome and return it."""
         self.audit.record(
             AuditEntry.for_query(
                 issuer=issuer,
-                statement=statement.text,
-                protocol=answer.protocol,
+                statement=outcome.statement,
+                protocol=outcome.protocol,
                 participants=self.members,
-                rounds=0,
-                messages=0,
-                result_public=answer.values,
-                average_lop=None,
-                cached=True,
+                rounds=outcome.rounds,
+                messages=outcome.messages,
+                result_public=outcome.values,
+                average_lop=outcome.average_lop,
+                cached=outcome.cached,
             )
         )
         return outcome
-
-    def _local_aggregate(
-        self, db: PrivateDatabase, statement: FederatedStatement
-    ) -> float:
-        table = db.table(statement.table)
-        if statement.operation == "COUNT":
-            # count = non-null values of the attribute, engine-accelerated;
-            # identical to len(numeric_values(...)) since federated
-            # attributes are numeric by construction.
-            return float(table.aggregate(statement.attribute, "count"))
-        value = table.aggregate(statement.attribute, "sum")
-        return float(value) if value is not None else 0.0
 
     def _secure_sum(self, values: dict[str, float], seed: int | None):
         """Run the configured additive primitive: plain or segmented ring sum.
@@ -1081,12 +799,13 @@ class Federation:
         sums: dict[str, float] = {}
         counts: dict[str, float] = {}
         for db in databases:
-            sums[db.owner] = self._local_aggregate(
-                db, replace_operation(statement, "SUM")
-            )
-            counts[db.owner] = self._local_aggregate(
-                db, replace_operation(statement, "COUNT")
-            )
+            table = db.table(statement.table)
+            total = table.aggregate(statement.attribute, "sum")
+            sums[db.owner] = float(total) if total is not None else 0.0
+            # count = non-null values of the attribute, engine-accelerated;
+            # identical to len(numeric_values(...)) since federated
+            # attributes are numeric by construction.
+            counts[db.owner] = float(table.aggregate(statement.attribute, "count"))
         if statement.operation in ("SUM", "AVG"):
             if sum_seed is None:
                 sum_seed = self._derive_seed("secure-sum")
@@ -1111,55 +830,26 @@ class Federation:
         protocol = (
             "k-secure-sum" if self._secure_segments > 1 else "secure-sum"
         )
-        rounds = self._secure_segments if self._secure_segments > 1 else 1
         outcome = QueryOutcome(
             statement=statement.text,
             values=(float(value),),
             protocol=protocol,
-            rounds=rounds,
+            rounds=self._secure_segments if self._secure_segments > 1 else 1,
             messages=messages,
         )
-        self.audit.record(
-            AuditEntry.for_query(
-                issuer=issuer,
-                statement=statement.text,
-                protocol=protocol,
-                participants=self.members,
-                rounds=rounds,
-                messages=messages,
-                result_public=outcome.values,
-            )
-        )
-        return outcome
+        return self._record(outcome, issuer)
 
 
-@dataclass
-class _DpBatchPrep:
-    """One batch's DP expansion: inner texts plus the reassembly map.
-
-    ``slots`` has one entry per original statement:
-    ``("pass", inner_index)`` for non-DP passthrough,
-    ``("dp", DpRequest, inner_indices, bare_text)`` for an admitted DP
-    statement, ``("refused", exception)`` for a precheck refusal.
-    """
-
-    statements: list[str]
-    texts: list[str]
-    traces: "list[TraceContext | None] | None"
-    plans: "list[Plan | None] | None"
-    slots: list[tuple]
-
-
-def replace_operation(
-    statement: FederatedStatement, operation: str
-) -> FederatedStatement:
-    """A copy of ``statement`` with a different operation (internal helper)."""
-    return FederatedStatement(
-        operation=operation,
-        k=statement.k,
-        attribute=statement.attribute,
-        table=statement.table,
-        text=statement.text,
+def _cached_outcome(
+    statement: FederatedStatement, answer: CachedAnswer
+) -> QueryOutcome:
+    return QueryOutcome(
+        statement=statement.text,
+        values=answer.values,
+        protocol=answer.protocol,
+        rounds=0,
+        messages=0,
+        cached=True,
     )
 
 

@@ -51,7 +51,7 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 if TYPE_CHECKING:  # typing only: keeps privacy <- federation import edges acyclic
     from ..database.query import Domain
@@ -487,8 +487,8 @@ class DpGate:
     Owns the accountant, the per-key release counters, and the
     deterministic noise derivation.  Both :class:`~repro.federation.coordinator.Federation`
     and :class:`~repro.sharding.federation.ShardedFederation` drive their
-    DP paths through one gate so flat and sharded executions share ledger
-    and noise byte-for-byte.
+    gate through the one release path (:mod:`repro.federation.dp_release`),
+    so flat and sharded executions share ledger and noise byte-for-byte.
     """
 
     def __init__(self, policy: DpPolicy | None = None):
@@ -535,13 +535,23 @@ class DpGate:
     def new_pending(self) -> _PendingBudget:
         return _PendingBudget()
 
-    def admit(self, request: DpRequest, pending: _PendingBudget) -> str | None:
+    def admit(
+        self,
+        request: DpRequest,
+        pending: _PendingBudget,
+        meter: "Callable[..., str | None] | None" = None,
+    ) -> str | None:
         """Batch-time precheck, *before* any seed draw or inner dispatch.
 
         Optimistic on reuse: a key that has released before is admitted
         without headroom (the repeat is usually a free cached re-serve);
         if the inner cache turns out to be invalidated, ``finalize`` still
         enforces the budget and the statement settles as refused.
+
+        ``meter`` is a second budget consulted after the accountant's, at
+        the same batch-pending totals — a tenant's DP allowance
+        (:meth:`~repro.sharding.router.ShardRouter.dp_headroom` bound to
+        the issuer).  Its refusal notes nothing on the accountant.
         """
         if self.reusable(request) or request.key in pending.keys:
             return None
@@ -554,6 +564,15 @@ class DpGate:
         if reason is not None:
             self.accountant.note_refusal()
             return reason
+        if meter is not None:
+            reason = meter(
+                request.epsilon,
+                request.delta,
+                pending_epsilon=pending.epsilon,
+                pending_delta=pending.delta,
+            )
+            if reason is not None:
+                return reason
         pending.epsilon += request.epsilon
         pending.delta += request.delta
         pending.keys.add(request.key)

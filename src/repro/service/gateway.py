@@ -200,9 +200,7 @@ class QueryService:
         shard_snapshot = getattr(self.federation, "shard_snapshot", None)
         if shard_snapshot is not None:
             snapshot["sharding"] = shard_snapshot()
-        dp_gate = getattr(self.federation, "dp_gate", None)
-        if dp_gate is not None:
-            snapshot["dp"] = dp_gate.snapshot()
+        snapshot["dp"] = self.federation.dp_gate.snapshot()
         return snapshot
 
     def export_metrics(
@@ -228,9 +226,7 @@ class QueryService:
         export_shards = getattr(self.federation, "export_shard_metrics", None)
         if export_shards is not None:
             export_shards(registry)
-        dp_gate = getattr(self.federation, "dp_gate", None)
-        if dp_gate is not None:
-            registry.absorb_dp(dp_gate.snapshot())
+        registry.absorb_dp(self.federation.dp_gate.snapshot())
         return registry
 
     # -- tracing ---------------------------------------------------------------
@@ -407,14 +403,12 @@ class QueryService:
         # typed — BudgetExhausted, permanent like PlanInfeasible, unlike
         # Overloaded's retry-later — before it occupies a queue slot.
         if spec.slo.has_dp:
-            dp_check = getattr(self.federation, "dp_admission_check", None)
-            if dp_check is not None:
-                try:
-                    dp_check(spec, issuer=issuer)
-                except (BudgetExhausted, DpError):
-                    self.metrics.refused += 1
-                    self._trace_shed(query_ctx, "budget-exhausted", now)
-                    raise
+            try:
+                self.federation.dp_admission_check(spec, issuer=issuer)
+            except (BudgetExhausted, DpError):
+                self.metrics.refused += 1
+                self._trace_shed(query_ctx, "budget-exhausted", now)
+                raise
         request = QueuedRequest(
             statement=statement,
             issuer=issuer,

@@ -34,15 +34,16 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from ..database.query import Domain
-from ..federation.coordinator import FederationError, QueryOutcome, QueryRefused
-from ..federation.sql import SqlError
+from ..federation import dp_release
+from ..federation.outcome import FederationError, QueryOutcome, QueryRefused
+from ..federation.sql import FederatedStatement, SqlError
 from ..observability.metrics import MetricsRegistry
 from ..observability.trace import TraceContext
 from ..planner.errors import PlanInfeasible
 from ..planner.plan import Plan
 from ..planner.planner import QueryPlanner
-from ..planner.spec import QuerySpec, SloError, parse_spec
-from ..privacy.dp import BudgetExhausted, DpError, DpGate, DpPolicy, build_request
+from ..planner.spec import QuerySpec, parse_spec
+from ..privacy.dp import DpGate, DpPolicy
 from .errors import ShardError, ShardUnavailable, TenantBudgetExceeded
 from .router import ALL_SHARDS, ShardRouter, TenantPolicy
 
@@ -248,86 +249,74 @@ class ShardedFederation:
         statements are a hit only when *every* shard holds the partial —
         which is exactly what makes cross-shard epoch invalidation work:
         one shard's membership/data change misses there and forces a fresh
-        fan-out.  An unreachable shard reads as a miss, so the admission
+        fan-out.  Every part is peeked before any is served, so a declined
+        fan-out (or DP re-serve) leaves no cache hit or audit entry on any
+        shard.  An unreachable shard reads as a miss, so the admission
         fast path never throws; the statement is refused typed when it
         actually executes.
         """
         try:
             spec = parse_spec(statement_text)
-        except (SqlError, SloError):
+        except SqlError:
             return None
+        statement = spec.statement
         if spec.slo.has_dp:
-            return self._try_cached_dp(spec, issuer)
-        return self._try_cached_plain(spec, statement_text, issuer)
+            return dp_release.try_cached(
+                self.dp_gate,
+                spec,
+                self.domain_for(statement.table, statement.attribute),
+                peek=self._peek,
+                claim=lambda texts: all(
+                    self._try_cached_plain(parse_spec(t).statement, t, issuer)
+                    is not None
+                    for t in texts
+                ),
+            )
+        return self._try_cached_plain(statement, statement_text, issuer)
 
     def _try_cached_plain(
-        self, spec: QuerySpec, statement_text: str, issuer: str
+        self, statement: FederatedStatement, statement_text: str, issuer: str
     ) -> QueryOutcome | None:
-        statement = spec.statement
         target = self.router.route(statement.table)
+        # Peek every fan-out partial before serving any: a declined fan-out
+        # must leave no cache hit or audit entry behind on any shard.
+        if target == ALL_SHARDS and (
+            self._from_shards(target, statement, statement_text, _shard_peek) is None
+        ):
+            return None
+        return self._from_shards(
+            target,
+            statement,
+            statement_text,
+            lambda shard, text: shard.try_cached(text, issuer=issuer),
+        )
+
+    def _peek(self, statement_text: str) -> QueryOutcome | None:
+        """Side-effect-free cache lookup on the shard(s) owning a statement."""
+        statement = parse_spec(statement_text).statement
+        target = self.router.route(statement.table)
+        return self._from_shards(target, statement, statement_text, _shard_peek)
+
+    def _from_shards(
+        self,
+        target: int,
+        statement: FederatedStatement,
+        statement_text: str,
+        lookup: "Callable[[object, str], QueryOutcome | None]",
+    ) -> QueryOutcome | None:
+        """Answer from the ``target`` shard(s) via ``lookup``; ``None`` on a miss."""
         try:
             if target != ALL_SHARDS:
-                return self.shards[target].try_cached(
-                    statement_text, issuer=issuer
-                )
-            partials: list[list[QueryOutcome]] = []
+                return lookup(self.shards[target], statement_text)
+            partials = []
             for shard in self.shards:
-                hits = []
-                for text in _fanout_texts(statement):
-                    hit = shard.try_cached(text, issuer=issuer)
-                    if hit is None:
-                        return None
-                    hits.append(hit)
+                hits = [lookup(shard, text) for text in _fanout_texts(statement)]
+                if any(hit is None for hit in hits):
+                    return None
                 partials.append(hits)
         except ShardUnavailable:
             return None
-        return _merge_fanout(statement, statement_text, partials)
-
-    def _try_cached_dp(self, spec: QuerySpec, issuer: str) -> QueryOutcome | None:
-        """DP admission fast path: free re-serve of an existing release.
-
-        Mirrors the flat federation: serves only when the release key has
-        released before, *every* inner answer is still cache-valid on its
-        shard(s), and those answers are the very ones the release perturbed
-        (a shard cache re-populated over mutated data must not replay old
-        noise); the re-served values are byte-identical to that release and
-        spend zero budget (federation and tenant both).
-        """
-        statement = spec.statement
-        try:
-            request = build_request(
-                spec, self.domain_for(statement.table, statement.attribute)
-            )
-        except DpError:
-            return None  # the batch path raises the typed refusal
-        assert request is not None
-        if not self.dp_gate.reusable(request):
-            return None
-        answers = []
-        for inner_text in request.inner_texts:
-            try:
-                inner_spec = parse_spec(inner_text)
-            except (SqlError, SloError):  # pragma: no cover - inner is well-formed
-                return None
-            hit = self._try_cached_plain(inner_spec, inner_text, issuer)
-            if hit is None:
-                return None
-            answers.append(hit)
-        inner_values = [a.values for a in answers]
-        if not self.dp_gate.replayable(request, inner_values):
-            return None  # the data changed under the release; must re-charge
-        values, _charged = self.dp_gate.finalize(
-            request, inner_values, inner_cached=True
-        )
-        return QueryOutcome(
-            statement=statement.text,
-            values=values,
-            protocol=f"{answers[0].protocol}+dp",
-            rounds=0,
-            messages=0,
-            trace=None,
-            cached=True,
-        )
+        return _merge_fanout(statement, statement_text, partials)  # type: ignore[arg-type]
 
     def dp_admission_check(
         self, spec: QuerySpec, *, issuer: str = "anonymous"
@@ -339,27 +328,14 @@ class ShardedFederation:
         :class:`~repro.privacy.dp.DpError` for unresolvable requests)
         before the statement consumes a queue slot.
         """
-        if not spec.slo.has_dp:
-            return
         statement = spec.statement
-        request = build_request(
-            spec, self.domain_for(statement.table, statement.attribute)
+        dp_release.admission_check(
+            self.dp_gate,
+            spec,
+            self.domain_for(statement.table, statement.attribute),
+            issuer=issuer,
+            meter=self.router,
         )
-        assert request is not None
-        if self.dp_gate.reusable(request):
-            return
-        reason = self.dp_gate.accountant.headroom_reason(
-            request.epsilon, request.delta
-        )
-        if reason is not None:
-            self.dp_gate.accountant.note_refusal()
-            raise BudgetExhausted(reason, statement=spec.text)
-        tenant_reason = self.router.dp_headroom(
-            issuer, request.epsilon, request.delta
-        )
-        if tenant_reason is not None:
-            self.router.note_refusal(issuer)
-            raise BudgetExhausted(tenant_reason, statement=spec.text)
 
     def execute_many_settled(
         self,
@@ -372,129 +348,73 @@ class ShardedFederation:
         """Serve a batch across shards; every refusal settles per statement.
 
         Per statement, in order: parse → tenant token bucket → tenant LoP
-        feasibility → route.  Routed statements dispatch to their shard as
-        one sub-batch (preserving statement order, so each shard's seed
-        draws and dedupe behave exactly like an unsharded batch of that
-        sub-stream); fan-out statements dispatch to every shard and merge.
-        A shard that fails — unreachable process, poisoned batch — refuses
-        exactly the statements routed to it, typed, while the rest of the
-        batch is served normally.
+        feasibility → route → DP admission (the shared
+        :class:`~repro.federation.dp_release.DpBatch`, with the router as
+        the tenant's DP meter).  The served statements — a DP statement's
+        inner statements in its place — dispatch to their shards: routed
+        statements as one sub-batch per shard (preserving statement order,
+        so each shard's seed draws and dedupe behave exactly like an
+        unsharded batch of that sub-stream), fan-out statements to every
+        shard, merged.  A shard that fails — unreachable process, poisoned
+        batch — refuses exactly the statements routed to it, typed, while
+        the rest of the batch is served normally.
         """
-        texts = list(statements)
-        if not texts:
-            return []
-        if traces is not None and len(traces) != len(texts):
-            raise FederationError(
-                f"got {len(texts)} statements but {len(traces)} trace contexts"
-            )
-        if plans is not None and len(plans) != len(texts):
-            raise FederationError(
-                f"got {len(texts)} statements but {len(plans)} plans"
-            )
-        results: "list[QueryOutcome | QueryRefused | None]" = [None] * len(texts)
-        #: shard index -> (statement positions, texts, traces, plans)
-        routed: dict[int, list[tuple[int, str]]] = {}
-        #: fan-out bookkeeping: position -> parsed statement
-        fanouts: dict[int, QuerySpec] = {}
-        pending_lop: dict[int, float] = {}
-        #: DP expansion: original position -> (request, inner synthetic
-        #: positions, routing target, bare statement text).  Inner texts
-        #: occupy synthetic positions past ``len(texts)`` so they ride the
-        #: ordinary routed/fan-out dispatch untouched.
-        dp_slots: dict[int, tuple] = {}
-        extra_texts: list[str] = []
-        dp_pending = self.dp_gate.new_pending()
-        tenant_pending = {"epsilon": 0.0, "delta": 0.0}
         now = self._clock()
+        targets: dict[int, int] = {}
+        lop_charges: dict[int, float] = {}
 
-        for position, text in enumerate(texts):
-            try:
-                spec = parse_spec(text)
-            except (SqlError, SloError) as exc:
-                results[position] = QueryRefused(statement=text, error=exc)
-                continue
+        def check(position: int, spec: QuerySpec) -> Exception | None:
             statement = spec.statement
             try:
                 self.router.admit(issuer, now)
             except ShardError as exc:
-                results[position] = QueryRefused(statement=text, error=exc)
-                continue
+                return exc
             target = self.router.route(statement.table)
-            parties = self._parties_for(target)
             try:
-                charge = self._tenant_feasibility(spec, issuer, parties)
+                charge = self._tenant_feasibility(
+                    spec, issuer, self._parties_for(target)
+                )
             except (TenantBudgetExceeded, PlanInfeasible) as exc:
                 self.router.note_refusal(issuer)
-                results[position] = QueryRefused(statement=text, error=exc)
-                continue
+                return exc
             if charge is not None:
-                pending_lop[position] = charge
+                lop_charges[position] = charge
             self._trace_route(traces, position, target, statement.table)
-            if spec.slo.has_dp:
-                self._admit_dp(
-                    position,
-                    spec,
-                    text,
-                    issuer,
-                    target,
-                    results,
-                    routed,
-                    fanouts,
-                    dp_slots,
-                    extra_texts,
-                    dp_pending,
-                    tenant_pending,
-                    base=len(texts),
-                )
-                continue
-            if target == ALL_SHARDS:
-                fanouts[position] = spec
-                self.fanout_statements += 1
-            else:
-                routed.setdefault(target, []).append((position, text))
+            targets[position] = target
+            return None
 
-        texts_ext: list[str] = texts
-        traces_ext: "Sequence[TraceContext | None] | None" = traces
-        plans_ext: "Sequence[Plan | None] | None" = plans
-        if dp_slots:
-            results.extend([None] * len(extra_texts))
-            texts_ext = texts + extra_texts
-            if traces is not None:
-                traces_ext = list(traces) + [None] * len(extra_texts)
-            if plans is not None:
-                plans_ext = list(plans) + [None] * len(extra_texts)
-            for position, (request, inner_positions, _target, _bare) in dp_slots.items():
-                # The original statement's trace follows its first inner
-                # form; a pre-resolved plan transfers only when the inner
-                # form still carries the SLO it was planned for.
-                if traces is not None:
-                    traces_ext[position] = None  # type: ignore[index]
-                    traces_ext[inner_positions[0]] = traces[position]  # type: ignore[index]
-                if plans is not None and request.keeps_slo:
-                    plans_ext[inner_positions[0]] = plans[position]  # type: ignore[index]
-
-        self._dispatch_routed(routed, results, texts_ext, issuer, traces_ext, plans_ext)
-        self._dispatch_fanouts(fanouts, results, texts_ext, issuer)
-        #: DP positions whose inner statements actually ran a protocol
-        #: (LoP exposure happened); cached inner answers expose nothing.
-        dp_executed: dict[int, bool] = {}
-        if dp_slots:
-            self._assemble_dp(dp_slots, results, texts, issuer, dp_executed)
-
+        batch = dp_release.DpBatch(
+            self.dp_gate,
+            list(statements),
+            issuer=issuer,
+            settle=True,
+            domain_for=self.domain_for,
+            traces=traces,
+            plans=plans,
+            check=check,
+            meter=self.router,
+        )
+        routes = [targets[origin] for origin in batch.origins]
+        self.fanout_statements += len(
+            {o for o, t in zip(batch.origins, routes) if t == ALL_SHARDS}
+        )
+        results = batch.assemble(
+            self._dispatch(batch.texts, routes, issuer, batch.traces, batch.plans)
+        )
         # Tenant LoP charges land only for statements that actually ran a
         # protocol: cache hits and refusals spend nothing.  For DP
         # statements that is decided by the *inner* executions — a fresh
         # noisy release over still-cached inner answers runs no protocol.
-        for position, charge in pending_lop.items():
-            outcome = results[position]
-            if not isinstance(outcome, QueryOutcome):
-                continue
-            if position in dp_slots:
-                if dp_executed.get(position, False):
-                    self.router.charge_lop(issuer, charge)
-            elif not outcome.cached:
+        for position, charge in lop_charges.items():
+            if batch.ran_protocol(position):
                 self.router.charge_lop(issuer, charge)
-        return results[: len(texts)]  # type: ignore[return-value]  # slots filled
+        for position, request in batch.fresh_releases():
+            target = targets[position]
+            shard_key = "all" if target == ALL_SHARDS else str(target)
+            self.dp_spend_by_shard[shard_key] = (
+                self.dp_spend_by_shard.get(shard_key, 0.0) + request.epsilon
+            )
+        return results
 
     # -- tenant admission ----------------------------------------------------
 
@@ -556,171 +476,6 @@ class ShardedFederation:
             ) from exc
         return plan.estimate.expected_lop
 
-    # -- differential privacy ------------------------------------------------
-
-    def _admit_dp(
-        self,
-        position: int,
-        spec: QuerySpec,
-        text: str,
-        issuer: str,
-        target: int,
-        results: "list[QueryOutcome | QueryRefused | None]",
-        routed: dict[int, list[tuple[int, str]]],
-        fanouts: dict[int, QuerySpec],
-        dp_slots: dict[int, tuple],
-        extra_texts: list[str],
-        dp_pending,
-        tenant_pending: dict[str, float],
-        *,
-        base: int,
-    ) -> None:
-        """Admit one DP statement and enqueue its inner statements.
-
-        Mirrors the flat federation's admission: the release gate refuses
-        over-budget *fresh* releases up front, optimistically admitting
-        keys that have released before (finalize settles those if their
-        inner answers turn out invalidated).  The tenant's DP meters are
-        checked with the same batch-pending accounting, so admission does
-        not depend on how a workload was split into batches.
-        """
-        gate = self.dp_gate
-        statement = spec.statement
-        try:
-            request = build_request(
-                spec, self.domain_for(statement.table, statement.attribute)
-            )
-        except DpError as exc:
-            self.router.note_refusal(issuer)
-            results[position] = QueryRefused(statement=text, error=exc)
-            return
-        assert request is not None
-        fresh = not (gate.reusable(request) or request.key in dp_pending.keys)
-        if fresh:
-            reason = gate.accountant.headroom_reason(
-                request.epsilon,
-                request.delta,
-                pending_epsilon=dp_pending.epsilon,
-                pending_delta=dp_pending.delta,
-            )
-            if reason is not None:
-                gate.accountant.note_refusal()
-                self.router.note_refusal(issuer)
-                results[position] = QueryRefused(
-                    statement=text,
-                    error=BudgetExhausted(reason, statement=text),
-                )
-                return
-            tenant_reason = self.router.dp_headroom(
-                issuer,
-                request.epsilon,
-                request.delta,
-                pending_epsilon=tenant_pending["epsilon"],
-                pending_delta=tenant_pending["delta"],
-            )
-            if tenant_reason is not None:
-                self.router.note_refusal(issuer)
-                results[position] = QueryRefused(
-                    statement=text,
-                    error=BudgetExhausted(tenant_reason, statement=text),
-                )
-                return
-            dp_pending.epsilon += request.epsilon
-            dp_pending.delta += request.delta
-            dp_pending.keys.add(request.key)
-            tenant_pending["epsilon"] += request.epsilon
-            tenant_pending["delta"] += request.delta
-        inner_positions: list[int] = []
-        for inner_text in request.inner_texts:
-            synthetic = base + len(extra_texts)
-            extra_texts.append(inner_text)
-            inner_positions.append(synthetic)
-            if target == ALL_SHARDS:
-                fanouts[synthetic] = parse_spec(inner_text)
-            else:
-                routed.setdefault(target, []).append((synthetic, inner_text))
-        if target == ALL_SHARDS:
-            self.fanout_statements += 1
-        dp_slots[position] = (request, inner_positions, target, statement.text)
-
-    def _assemble_dp(
-        self,
-        dp_slots: dict[int, tuple],
-        results: "list[QueryOutcome | QueryRefused | None]",
-        texts: list[str],
-        issuer: str,
-        dp_executed: dict[int, bool],
-    ) -> None:
-        """Settle each admitted DP statement from its inner outcomes.
-
-        Statements settle in batch order, so federation and tenant charges
-        land in exactly the order a flat federation would record them —
-        that is what keeps the two ledgers byte-identical per seed.
-        """
-        for position in sorted(dp_slots):
-            request, inner_positions, target, bare_text = dp_slots[position]
-            inner = [results[p] for p in inner_positions]
-            refused = next(
-                (r for r in inner if isinstance(r, QueryRefused)), None
-            )
-            if refused is not None:
-                results[position] = QueryRefused(
-                    statement=texts[position], error=refused.error
-                )
-                continue
-            inner_cached = all(o.cached for o in inner)  # type: ignore[union-attr]
-            inner_values = [o.values for o in inner]  # type: ignore[union-attr]
-            if self.dp_gate.would_charge(request, inner_cached, inner_values):
-                # Optimistic reuse admissions skipped the tenant headroom
-                # check; settle it before the gate records the charge.
-                tenant_reason = self.router.dp_headroom(
-                    issuer, request.epsilon, request.delta
-                )
-                if tenant_reason is not None:
-                    self.router.note_refusal(issuer)
-                    results[position] = QueryRefused(
-                        statement=texts[position],
-                        error=BudgetExhausted(
-                            tenant_reason, statement=texts[position]
-                        ),
-                    )
-                    continue
-            try:
-                values, charged = self.dp_gate.finalize(
-                    request,
-                    inner_values,
-                    inner_cached=inner_cached,
-                )
-            except BudgetExhausted as exc:
-                self.router.note_refusal(issuer)
-                results[position] = QueryRefused(
-                    statement=texts[position], error=exc
-                )
-                continue
-            first = inner[0]
-            dp_executed[position] = not inner_cached
-            results[position] = QueryOutcome(
-                statement=bare_text,
-                values=values,
-                protocol=f"{first.protocol}+dp",  # type: ignore[union-attr]
-                rounds=max(o.rounds for o in inner),  # type: ignore[union-attr]
-                messages=sum(o.messages for o in inner),  # type: ignore[union-attr]
-                trace=None,
-                cached=not charged,
-                simulated_seconds=max(o.simulated_seconds for o in inner),  # type: ignore[union-attr]
-            )
-            if charged:
-                self.router.charge_dp(
-                    issuer,
-                    request.epsilon,
-                    request.delta,
-                    statement=request.label,
-                )
-                shard_key = "all" if target == ALL_SHARDS else str(target)
-                self.dp_spend_by_shard[shard_key] = (
-                    self.dp_spend_by_shard.get(shard_key, 0.0) + request.epsilon
-                )
-
     # -- dispatch ------------------------------------------------------------
 
     def _trace_route(
@@ -746,30 +501,42 @@ class ShardedFederation:
             },
         )
 
-    def _settle_shard(
+    def _dispatch(
         self,
-        index: int,
-        jobs: list[tuple[int, str]],
+        texts: list[str],
+        routes: list[int],
         issuer: str,
         traces: "Sequence[TraceContext | None] | None",
         plans: "Sequence[Plan | None] | None",
     ) -> "list[QueryOutcome | QueryRefused]":
-        shard = self.shards[index]
-        self.shard_queries[index] = self.shard_queries.get(index, 0) + len(jobs)
-        sub_texts = [text for _pos, text in jobs]
-        sub_traces = (
-            [traces[pos] for pos, _text in jobs] if traces is not None else None
-        )
-        sub_plans = (
-            [plans[pos] for pos, _text in jobs] if plans is not None else None
-        )
+        """Serve exact statements on the shards their ``routes`` name."""
+        results: "list[QueryOutcome | QueryRefused | None]" = [None] * len(texts)
+        routed: dict[int, list[tuple[int, str]]] = {}
+        fanouts: dict[int, FederatedStatement] = {}
+        for position, (text, target) in enumerate(zip(texts, routes)):
+            if target == ALL_SHARDS:
+                fanouts[position] = parse_spec(text).statement
+            else:
+                routed.setdefault(target, []).append((position, text))
+        self._dispatch_routed(routed, results, issuer, traces, plans)
+        self._dispatch_fanouts(fanouts, results, texts, issuer)
+        return results  # type: ignore[return-value]  # every position filled
+
+    def _settle_shard(
+        self,
+        index: int,
+        sub_texts: list[str],
+        issuer: str,
+        traces: "Sequence[TraceContext | None] | None" = None,
+        plans: "Sequence[Plan | None] | None" = None,
+    ) -> "list[QueryOutcome | QueryRefused]":
         try:
-            return shard.execute_many_settled(
-                sub_texts, issuer=issuer, traces=sub_traces, plans=sub_plans
+            return self.shards[index].execute_many_settled(
+                sub_texts, issuer=issuer, traces=traces, plans=plans
             )
         except ShardUnavailable as exc:
             self.shard_unavailable[index] = (
-                self.shard_unavailable.get(index, 0) + len(jobs)
+                self.shard_unavailable.get(index, 0) + len(sub_texts)
             )
             return [
                 QueryRefused(statement=text, error=exc) for text in sub_texts
@@ -783,39 +550,41 @@ class ShardedFederation:
                 QueryRefused(statement=text, error=error) for text in sub_texts
             ]
 
+    def _map_shards(
+        self,
+        run: "Callable[[int], list[QueryOutcome | QueryRefused]]",
+        indices: Sequence[int],
+    ) -> "list[list[QueryOutcome | QueryRefused]]":
+        """``run(index)`` per shard; on threads when every one is process-backed."""
+        if len(indices) > 1 and all(
+            getattr(self.shards[index], "concurrent", False) for index in indices
+        ):
+            with ThreadPoolExecutor(max_workers=len(indices)) as pool:
+                return list(pool.map(run, indices))
+        return [run(index) for index in indices]
+
     def _dispatch_routed(
         self,
         routed: dict[int, list[tuple[int, str]]],
         results: "list[QueryOutcome | QueryRefused | None]",
-        texts: list[str],
         issuer: str,
         traces: "Sequence[TraceContext | None] | None",
         plans: "Sequence[Plan | None] | None",
     ) -> None:
-        if not routed:
-            return
-        ordered = sorted(routed.items())
-        concurrent = len(ordered) > 1 and all(
-            getattr(self.shards[index], "concurrent", False)
-            for index, _jobs in ordered
-        )
-        if concurrent:
-            with ThreadPoolExecutor(max_workers=len(ordered)) as pool:
-                settled_lists = list(
-                    pool.map(
-                        lambda item: self._settle_shard(
-                            item[0], item[1], issuer, traces, plans
-                        ),
-                        ordered,
-                    )
-                )
-        else:
-            settled_lists = [
-                self._settle_shard(index, jobs, issuer, traces, plans)
-                for index, jobs in ordered
-            ]
-        for (index, jobs), settled in zip(ordered, settled_lists):
-            for (position, _text), result in zip(jobs, settled):
+        def run(index: int) -> "list[QueryOutcome | QueryRefused]":
+            jobs = routed[index]
+            self.shard_queries[index] = self.shard_queries.get(index, 0) + len(jobs)
+            return self._settle_shard(
+                index,
+                [text for _pos, text in jobs],
+                issuer,
+                [traces[pos] for pos, _text in jobs] if traces is not None else None,
+                [plans[pos] for pos, _text in jobs] if plans is not None else None,
+            )
+
+        ordered = sorted(routed)
+        for index, settled in zip(ordered, self._map_shards(run, ordered)):
+            for (position, _text), result in zip(routed[index], settled):
                 if isinstance(result, QueryRefused):
                     self.shard_refusals[index] = (
                         self.shard_refusals.get(index, 0) + 1
@@ -824,7 +593,7 @@ class ShardedFederation:
 
     def _dispatch_fanouts(
         self,
-        fanouts: dict[int, QuerySpec],
+        fanouts: dict[int, FederatedStatement],
         results: "list[QueryOutcome | QueryRefused | None]",
         texts: list[str],
         issuer: str,
@@ -840,7 +609,7 @@ class ShardedFederation:
         per_shard_texts: list[str] = []
         slices: list[tuple[int, int]] = []  # (position, width) in batch order
         for position in positions:
-            sub = _fanout_texts(fanouts[position].statement)
+            sub = _fanout_texts(fanouts[position])
             slices.append((position, len(sub)))
             per_shard_texts.extend(sub)
 
@@ -848,17 +617,10 @@ class ShardedFederation:
             self.shard_queries[index] = (
                 self.shard_queries.get(index, 0) + len(per_shard_texts)
             )
-            return self._settle_shard_texts(index, per_shard_texts, issuer)
+            return self._settle_shard(index, per_shard_texts, issuer)
 
         indices = range(len(self.shards))
-        concurrent = len(self.shards) > 1 and all(
-            getattr(shard, "concurrent", False) for shard in self.shards
-        )
-        if concurrent:
-            with ThreadPoolExecutor(max_workers=len(self.shards)) as pool:
-                shard_settled = list(pool.map(run_shard, indices))
-        else:
-            shard_settled = [run_shard(index) for index in indices]
+        shard_settled = self._map_shards(run_shard, indices)
 
         cursor = 0
         for position, width in slices:
@@ -884,36 +646,13 @@ class ShardedFederation:
             else:
                 try:
                     results[position] = _merge_fanout(
-                        fanouts[position].statement, texts[position], partials
+                        fanouts[position], texts[position], partials
                     )
                 except FederationError as exc:
                     results[position] = QueryRefused(
                         statement=texts[position], error=exc
                     )
             cursor += width
-
-    def _settle_shard_texts(
-        self, index: int, sub_texts: list[str], issuer: str
-    ) -> "list[QueryOutcome | QueryRefused]":
-        try:
-            return self.shards[index].execute_many_settled(
-                sub_texts, issuer=issuer
-            )
-        except ShardUnavailable as exc:
-            self.shard_unavailable[index] = (
-                self.shard_unavailable.get(index, 0) + len(sub_texts)
-            )
-            return [
-                QueryRefused(statement=text, error=exc) for text in sub_texts
-            ]
-        except Exception as exc:  # noqa: BLE001 — shard failure stays local
-            error = ShardError(
-                f"shard {index} failed its batch: {type(exc).__name__}: {exc}"
-            )
-            error.__cause__ = exc
-            return [
-                QueryRefused(statement=text, error=error) for text in sub_texts
-            ]
 
     # -- metrics -------------------------------------------------------------
 
@@ -993,6 +732,10 @@ class ShardedFederation:
 
 
 # -- merge ---------------------------------------------------------------------
+
+
+def _shard_peek(shard, text: str) -> "QueryOutcome | None":
+    return shard.peek(text)
 
 
 def _fanout_texts(statement) -> list[str]:

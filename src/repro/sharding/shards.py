@@ -3,7 +3,7 @@
 A *shard* is one complete :class:`~repro.federation.coordinator.Federation`
 serving a slice of the table space.  Two interchangeable backends implement
 the same small surface (``members``, ``execute_many_settled``,
-``try_cached``, ``cache_stats``, ``close``):
+``try_cached``, ``peek``, ``cache_stats``, ``close``):
 
 :class:`LocalShard`
     Wraps a federation in this process.  Deterministic and traceable — the
@@ -69,6 +69,9 @@ class LocalShard:
         self, statement: str, *, issuer: str = "anonymous"
     ) -> QueryOutcome | None:
         return self.federation.try_cached(statement, issuer=issuer)
+
+    def peek(self, statement: str) -> QueryOutcome | None:
+        return self.federation.peek(statement)
 
     def cache_stats(self) -> tuple[int, int]:
         cache = self.federation.cache
@@ -276,6 +279,11 @@ class ProcessShard:
         response = self._request(
             {"op": "try_cached", "statement": statement, "issuer": issuer}
         )
+        payload = response.get("outcome")
+        return None if payload is None else decode_outcome(payload)
+
+    def peek(self, statement: str) -> QueryOutcome | None:
+        response = self._request({"op": "peek", "statement": statement})
         payload = response.get("outcome")
         return None if payload is None else decode_outcome(payload)
 

@@ -104,11 +104,14 @@ def _handle(federation: Federation, request: dict) -> dict:
             issuer=str(request.get("issuer", "anonymous")),
         )
         return {"ok": True, "results": encode_settled(settled)}
-    if op == "try_cached":
-        outcome = federation.try_cached(
-            str(request.get("statement", "")),
-            issuer=str(request.get("issuer", "anonymous")),
-        )
+    if op in ("try_cached", "peek"):
+        statement = str(request.get("statement", ""))
+        if op == "peek":
+            outcome = federation.peek(statement)
+        else:
+            outcome = federation.try_cached(
+                statement, issuer=str(request.get("issuer", "anonymous"))
+            )
         return {
             "ok": True,
             "outcome": None if outcome is None else encode_outcome(outcome),

@@ -8,7 +8,7 @@ driver fails loudly.  A silent wrong answer outside that band would be a
 correctness bug.
 """
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.driver import DriverError, RunConfig, run_protocol_on_vectors
@@ -39,6 +39,15 @@ def topk_of(vectors: dict[str, list[float]], k: int) -> list[float]:
     k=st.integers(min_value=1, max_value=3),
     seed=st.integers(min_value=0, max_value=2**31),
     crash_at=st.integers(min_value=1, max_value=40),
+)
+@example(
+    # Regression: the crashed n3 displaced one of three equal survivor
+    # values with noise; a stalled-round replay left each survivor taking
+    # another's equal copy for its own, returning [2, 2, 1].
+    vectors={"n3": [3.0], "n0": [2.0], "n1": [2.0], "n2": [2.0], "n4": [1.0]},
+    k=3,
+    seed=3,
+    crash_at=14,
 )
 @settings(max_examples=60, deadline=None)
 def test_mid_run_crash_is_bounded_or_loud(vectors, k, seed, crash_at):
