@@ -22,23 +22,42 @@ by up to ~15% on busy machines):
   backends' results are bit-identical, so the speedup cannot come from
   computing something else.
 
-Known floor: seeding the per-node MT19937 streams costs ~0.12 ms/trial on
-commodity hardware (the 624-word state expansion), which bounds the batch
-kernel's asymptote on *fresh* seeds — the speedup is a measurement, not a
+Seeding cost model: every kernel call seeds one MT19937 stream per node per
+trial, in one of two regimes.  The numpy ``init_by_array`` replay costs a
+fixed ~3.4 ms per call (1247 sequential row steps) plus 1-3 us per stream;
+CPython's C generator costs ~7-10 us per stream and nothing fixed.  The
+sampling module switches at ~512 uncached streams, so the figure-scale
+points here (n x 100 trials >= 1000 streams) stay on the vectorized path,
+where the fixed cost is amortized.  The speedup is a measurement, not a
 tuning target, and the floor below is set under the measured value with
-margin for machine noise.  The sampling module's stream-prefix LRU lifts
-that bound on repeated seeds (interleaved reps re-run identical trials),
+margin for machine noise.  The sampling module's stream-prefix LRU skips
+seeding on repeated seeds (interleaved reps re-run identical trials),
 which is why the floor ratcheted from 20x to 26x.
+
+Serving-sized groups (a few parties, a few statements per batch) never
+amortize the fixed numpy cost; the ``small_groups`` block times one harvest
+of fresh seeds through :func:`~repro.core.sampling._mt_words_chunk` and
+through :func:`~repro.core.sampling.mt19937_words` (which takes the C path
+there) and floors their ratio at 3 streams.
 """
 
 import gc
 import json
 import os
+import random
+import statistics
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.core.driver import KERNEL, SESSION, RunConfig, run_many_on_vectors
 from repro.core.params import ProtocolParams
+from repro.core.sampling import (
+    _mt_words_chunk,
+    mt19937_words,
+    prefix_cache_clear,
+)
 from repro.database.query import Domain, TopKQuery
 from repro.experiments import telemetry
 from repro.experiments.config import TrialSetup
@@ -64,6 +83,19 @@ JOBS = 2
 #: pool would lose, so its true speedup is exactly 1.0; this band only
 #: absorbs timer noise on two timings of identical work.
 JOBS_MEASUREMENT_BAND = 0.05
+
+#: Serving-sized harvests, (streams per statement, statements per batch):
+#: one 3-party statement, and a 16-statement batch over 6 parties.
+SMALL_GROUPS = ((3, 1), (6, 16))
+#: Words per stream for the paper defaults at k=5 on an integral domain:
+#: 5 rounds x (2 coin words + 5 x 3 noise words) + 4.
+SMALL_GROUP_WORDS = 89
+SMALL_GROUP_REPS = 25
+#: Floor on numpy-replay time over harvest time for one 3-stream group.
+#: Measured 46-71x on a 2-core x86-64 box (0.06-0.11 ms vs 4.6-4.9 ms,
+#: medians); 5x still fails if small groups fall back to the numpy replay.
+SMALL_GROUP_FLOOR = 5.0
+SMALL_GROUP_FLOOR_AT = 3
 
 DOMAIN = Domain(1, 10_000)
 VALUES_PER_NODE = 12
@@ -94,6 +126,38 @@ def _interleaved_best(jobs) -> dict[str, float]:
             run_many_on_vectors(jobs, backend=backend)
             best[backend] = min(best[backend], time.perf_counter() - start)
     return best
+
+
+def _small_group_points() -> dict[str, dict]:
+    """Median us per harvest of fresh seeds: numpy replay vs mt19937_words."""
+    rng = random.Random(BENCH_SEED)
+    points = {}
+    for per_statement, statements in SMALL_GROUPS:
+        streams = per_statement * statements
+        chunk_times, harvest_times = [], []
+        for _ in range(SMALL_GROUP_REPS):
+            seeds = [rng.getrandbits(64) for _ in range(streams)]
+            prefix_cache_clear()
+            start = time.perf_counter()
+            replayed = _mt_words_chunk(
+                np.asarray(seeds, dtype=np.uint64), SMALL_GROUP_WORDS
+            )
+            chunk_times.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            harvested = mt19937_words(seeds, SMALL_GROUP_WORDS)
+            harvest_times.append(time.perf_counter() - start)
+            assert np.array_equal(replayed, harvested)
+        chunk_us = 1e6 * statistics.median(chunk_times)
+        harvest_us = 1e6 * statistics.median(harvest_times)
+        points[str(streams)] = {
+            "streams_per_statement": per_statement,
+            "statements": statements,
+            "mt_words_chunk_us": round(chunk_us, 1),
+            "mt19937_words_us": round(harvest_us, 1),
+            "ratio": round(chunk_us / harvest_us, 2),
+        }
+    prefix_cache_clear()
+    return points
 
 
 def test_bench_kernel_speedup():
@@ -177,14 +241,17 @@ def test_bench_kernel_speedup():
     serial_best, composed_best = jobs_floor()
     jobs_speedup = serial_best / composed_best
     cores = os.cpu_count() or 1
+    small_groups = _small_group_points()
 
     document = {
         "bench": "kernel_speedup",
         "methodology": (
             "both backends via run_many_on_vectors, reps interleaved in one "
             "process, best-of per backend; parity asserted before timing; "
-            "MT19937 stream seeding (~0.12 ms/trial) bounds the kernel "
-            "asymptote"
+            "figure-scale points seed MT19937 streams through the vectorized "
+            "numpy replay (fixed ~3.4 ms per call + 1-3 us per stream); "
+            "small_groups: median of fresh-seed harvests, prefix cache "
+            "cleared before each"
         ),
         "floor": {"at_n": FLOOR_AT_N, "min_speedup": SPEEDUP_FLOOR},
         "points": points,
@@ -199,6 +266,15 @@ def test_bench_kernel_speedup():
             "measurement_band": JOBS_MEASUREMENT_BAND,
             "asserted": True,
         },
+        "small_groups": {
+            "words": SMALL_GROUP_WORDS,
+            "reps": SMALL_GROUP_REPS,
+            "floor": {
+                "at_streams": SMALL_GROUP_FLOOR_AT,
+                "min_ratio": SMALL_GROUP_FLOOR,
+            },
+            "points": small_groups,
+        },
     }
     RESULTS_PATH.parent.mkdir(parents=True, exist_ok=True)
     RESULTS_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
@@ -207,6 +283,11 @@ def test_bench_kernel_speedup():
     assert floor_point["speedup"] >= SPEEDUP_FLOOR, (
         f"kernel speedup {floor_point['speedup']}x at n={FLOOR_AT_N} is below "
         f"the {SPEEDUP_FLOOR}x floor ({RESULTS_PATH} has the full sweep)"
+    )
+    small = small_groups[str(SMALL_GROUP_FLOOR_AT)]
+    assert small["ratio"] >= SMALL_GROUP_FLOOR, (
+        f"a {SMALL_GROUP_FLOOR_AT}-stream harvest is only {small['ratio']}x "
+        f"faster than the numpy replay (floor {SMALL_GROUP_FLOOR}x): {small}"
     )
     # Every sweep point should still come out clearly ahead.
     for n, point in points.items():

@@ -71,6 +71,20 @@ def _point_floor_checks(doc: dict) -> list[Check]:
     return [Check(f"points[{at}].speedup", ">=", min_speedup, value)]
 
 
+def _kernel_checks(doc: dict) -> list[Check]:
+    """The point floor plus the small-group harvest floor."""
+    floor = _get(doc, "small_groups", "floor") or {}
+    at = floor.get("at_streams", 3)
+    return _point_floor_checks(doc) + [
+        Check(
+            f"small_groups.points[{at}].ratio",
+            ">=",
+            floor.get("min_ratio", 5.0),
+            _get(doc, "small_groups", "points", str(at), "ratio"),
+        )
+    ]
+
+
 def _band_floor_checks(doc: dict) -> list[Check]:
     """Observability shape: ratio bands around 1.0."""
     band = tuple(_get(doc, "floor", "disabled_over_baseline") or (0.95, 1.05))
@@ -108,7 +122,7 @@ def _embedded_floors_checks(doc: dict) -> list[Check]:
 #: filename -> callable(doc) -> list[Check].  Benches that embed their own
 #: floors route through the generic handlers; fixed floors live here.
 RULES = {
-    "BENCH_kernel_speedup.json": _point_floor_checks,
+    "BENCH_kernel_speedup.json": _kernel_checks,
     "BENCH_local_extraction.json": _point_floor_checks,
     "BENCH_observability_overhead.json": _band_floor_checks,
     "BENCH_gateway_soak.json": _gateway_checks,

@@ -54,7 +54,7 @@ from .kernel import (
 )
 from .noise import HighBiasedNoise, LowBiasedNoise, UniformNoise, draw_noise_batch
 from .results import ProtocolResult
-from .sampling import MAX_HARVEST_WORDS, WordPool, words_to_unit_floats
+from .sampling import MAX_HARVEST_WORDS, WordPool, rng_words, words_to_unit_floats
 from .session import PROBABILISTIC, prepare_query_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (driver imports us)
@@ -95,11 +95,9 @@ class _RunPool:
         self._rngs = rngs
         self._words = words
         count = len(rngs)
-        nbytes = 4 * words
         harvest = np.empty((count, words), dtype=np.uint32)
         for t, rng in enumerate(rngs):
-            raw = rng.getrandbits(32 * words).to_bytes(nbytes, "little")
-            harvest[t] = np.frombuffer(raw, dtype="<u4")
+            harvest[t] = rng_words(rng, words)
         self._flat = harvest.reshape(-1)
         self._cursor = np.zeros(count, dtype=np.int64)
         self._all = np.arange(count)

@@ -7,15 +7,21 @@ noise would be trivially distinguishable from real values — which would hand
 an adversary a perfect test for "this output is the node's real value" and
 destroy the privacy argument.
 
-The second half of this module is the vectorized replay substrate for the
-batch kernel (:mod:`repro.core.batch`): a numpy reimplementation of CPython's
-``random.Random`` seeding (MT19937 ``init_by_array``) that materializes the
-first output words of thousands of independent RNG streams at once, plus a
-:class:`WordPool` that serves those words back through the exact draw
-algorithms CPython uses (``random()``, ``getrandbits``, ``randint``'s
-rejection sampling).  Bit-identical replay is the contract: every word a pool
-hands out equals what ``random.Random(seed)`` would have produced, verified
-stream-for-stream by the parity tests.
+The second half of this module is the replay substrate for the batch kernel
+(:mod:`repro.core.batch`): it materializes the first output words of many
+independent ``random.Random(seed)`` streams at once, plus a :class:`WordPool`
+that serves those words back through the exact draw algorithms CPython uses
+(``random()``, ``getrandbits``, ``randint``'s rejection sampling).
+Bit-identical replay is the contract: every word a pool hands out equals what
+``random.Random(seed)`` would have produced, verified stream-for-stream by the
+parity tests.
+
+Harvesting has two regimes.  A numpy reimplementation of MT19937 seeding
+(``init_by_array``) runs 1247 sequential row steps whatever the stream count,
+so it costs a fixed ~3.4 ms per call plus 1-3 us per stream; CPython's own C
+generator costs ~7-10 us per stream and nothing fixed.  Small groups (the
+serving path's few parties per statement) therefore seed through C, and
+Monte Carlo sweeps (thousands of streams) through numpy.
 """
 
 from __future__ import annotations
@@ -77,10 +83,26 @@ _MT_LOWER = np.uint32(0x7FFFFFFF)
 _MT_MATRIX = np.uint32(0x9908B0DF)
 
 #: Streams per vectorization chunk.  The 1247 sequential ``init_by_array``
-#: steps each touch one (chunk,)-row, so the chunk trades numpy dispatch
-#: overhead (small chunks) against cache pressure from the 624 x chunk
-#: state (large chunks); ~8k is the measured sweet spot on this container.
+#: steps each touch one (chunk,)-row, so every chunk pays ~3.4 ms of numpy
+#: dispatch however few streams it holds; large chunks trade that fixed cost
+#: against cache pressure from the 624 x chunk state.  ~8k is the measured
+#: sweet spot on a 2-core x86-64 box.
 _MT_CHUNK = 8192
+
+#: Below this many uncached streams a call seeds through CPython's C MT19937
+#: (:func:`rng_words`) instead of :func:`_mt_words_chunk`.  Best of 5, fresh
+#: 64-bit seeds, both paths asserted equal, on a 2-core x86-64 box:
+#:
+#:   streams   words=29 C / numpy   words=89 C / numpy   words=227 C / numpy
+#:         3    0.03 /  3.9 ms       0.06 /  4.9 ms       0.04 /  4.3 ms
+#:        12    0.11 /  3.8 ms       0.13 /  4.4 ms       0.15 /  5.3 ms
+#:       256    2.4  /  5.0 ms       2.5  /  4.6 ms       4.0  /  7.9 ms
+#:       512    4.8  /  5.6 ms       5.0  /  6.3 ms       5.9  /  5.7 ms
+#:      1024    9.7  /  9.4 ms      10.5  /  7.0 ms      13.1  /  8.5 ms
+#:      5000   44.8  / 11.6 ms      48.7  / 16.5 ms      62.5  / 28.7 ms
+#:
+#: The paths cross at ~512 streams for every harvest width.
+_MT_C_STREAMS = 512
 
 #: The maximum words obtainable from a single partial twist: ``mt[i + 397]``
 #: must stay inside the untwisted tail, so only the first 227 outputs are
@@ -177,13 +199,22 @@ def _mt_words_chunk(seeds: np.ndarray, words: int) -> np.ndarray:
     return np.ascontiguousarray(out.T)
 
 
+def rng_words(rng: random.Random, words: int) -> np.ndarray:
+    """The next ``words`` raw output words of ``rng``, advancing it past them.
+
+    ``getrandbits(32 * words)`` packs consecutive ``genrand_uint32`` outputs
+    little-endian, first word lowest, so its bytes read back as the stream.
+    """
+    raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+    return np.frombuffer(raw, dtype="<u4")
+
+
 #: LRU of harvested stream prefixes, keyed by seed.  Per-node seeds are
 #: derived deterministically from the run seed, so re-running a query —
 #: benchmark reps, parity sweeps, a statement re-executed after a cache
-#: epoch bump — asks for exactly the same streams again; the ~1.2k-step
-#: ``init_by_array`` replay is the batch kernel's dominant setup cost, and
-#: a hit skips it entirely.  Bounded: 8192 entries of <= 227 words is
-#: under 8 MB.
+#: epoch bump — asks for exactly the same streams again, and a hit skips
+#: seeding (C or numpy) entirely.  Bounded: 8192 entries of <= 227 words
+#: is under 8 MB.
 _PREFIX_CACHE: "OrderedDict[int, np.ndarray]" = OrderedDict()
 PREFIX_CACHE_ENTRIES = 8192
 _prefix_hits = 0
@@ -216,9 +247,10 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
     ``genrand_uint32`` sequence of ``random.Random(int(seeds[s]))``.
 
     Streams seen before (same seed, same or shorter prefix) are served from
-    the module's LRU prefix cache instead of re-running ``init_by_array``;
-    fresh seeds harvest exactly as before and populate it.  The cache holds
-    copies, so callers may use the returned array freely.
+    the module's LRU prefix cache; fresh seeds are harvested and populate
+    it — through CPython's C generator when fewer than ``_MT_C_STREAMS`` miss,
+    through the vectorized :func:`_mt_words_chunk` otherwise.  The cache
+    holds copies, so callers may use the returned array freely.
     """
     global _prefix_hits, _prefix_misses
     if not 0 < words <= MAX_HARVEST_WORDS:
@@ -230,6 +262,7 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
     out = np.empty((count, words), dtype=np.uint32)
     cache = _PREFIX_CACHE
     miss_rows: list[int] = []
+    miss_seeds: list[int] = []
     for row, seed in enumerate(map(int, seeds.tolist())):
         cached = cache.get(seed)
         if cached is not None and cached.shape[0] >= words:
@@ -238,15 +271,19 @@ def mt19937_words(seeds: "np.ndarray | list[int]", words: int) -> np.ndarray:
             _prefix_hits += 1
         else:
             miss_rows.append(row)
+            miss_seeds.append(seed)
             _prefix_misses += 1
     if not miss_rows:
         return out
-    miss = np.asarray(miss_rows, dtype=np.int64)
-    miss_seeds = seeds[miss]
-    for start in range(0, miss.shape[0], _MT_CHUNK):
-        stop = min(start + _MT_CHUNK, miss.shape[0])
-        out[miss[start:stop]] = _mt_words_chunk(miss_seeds[start:stop], words)
-    for row, seed in zip(miss_rows, map(int, miss_seeds.tolist())):
+    if len(miss_rows) < _MT_C_STREAMS:
+        for row, seed in zip(miss_rows, miss_seeds):
+            out[row] = rng_words(random.Random(seed), words)
+    else:
+        miss = np.asarray(miss_rows, dtype=np.int64)
+        for start in range(0, miss.shape[0], _MT_CHUNK):
+            chunk = miss[start : start + _MT_CHUNK]
+            out[chunk] = _mt_words_chunk(seeds[chunk], words)
+    for row, seed in zip(miss_rows, miss_seeds):
         existing = cache.get(seed)
         if existing is None or existing.shape[0] < words:
             cache[seed] = out[row].copy()
